@@ -30,7 +30,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -170,11 +173,12 @@ type ClusterArmReport struct {
 // nodes over both node transports, with every response bit-identical
 // across arms.
 type ClusterBenchReport struct {
-	Shape       string `json:"shape"`
-	Requests    int    `json:"requests_per_arm"`
-	Concurrency int    `json:"concurrency"`
-	NProcs      int    `json:"nprocs"`
-	PPN         int    `json:"ppn"`
+	Host        HostInfo `json:"host"`
+	Shape       string   `json:"shape"`
+	Requests    int      `json:"requests_per_arm"`
+	Concurrency int      `json:"concurrency"`
+	NProcs      int      `json:"nprocs"`
+	PPN         int      `json:"ppn"`
 
 	InProcess   ClusterArmReport `json:"in_process"`
 	ClusterUnix ClusterArmReport `json:"cluster_unix"`
@@ -185,6 +189,40 @@ type ClusterBenchReport struct {
 	// processes on this machine.
 	ShardedVsInProcessX float64 `json:"sharded_vs_in_process_p50_x"`
 	BitIdentical        bool    `json:"bit_identical"`
+}
+
+// HostInfo records the machine and build a BENCH section was measured on,
+// so a number can be read against its core count and kernel.
+type HostInfo struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Kernel     string `json:"kernel"`
+	Go         string `json:"go"`
+	Commit     string `json:"commit"`
+}
+
+func hostInfo() HostInfo {
+	return HostInfo{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Kernel:     mat.KernelName(),
+		Go:         runtime.Version(),
+		Commit:     gitCommit(),
+	}
+}
+
+// gitCommit names the checkout the benchmark ran from: HEAD, suffixed
+// "-dirty" when tracked files differ from it, or "unknown" outside git.
+func gitCommit() string {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(head))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+		commit += "-dirty"
+	}
+	return commit
 }
 
 // runClusterArm serves the stream from a fresh server with cfg and checks
@@ -287,6 +325,7 @@ func runBenchCluster(out string, seed uint64) {
 		DefaultTimeout: 60 * time.Second,
 	}
 	rep := ClusterBenchReport{
+		Host:        hostInfo(),
 		Shape:       shape{dim, dim, dim}.String(),
 		Requests:    clusterBenchRequests,
 		Concurrency: clusterBenchConc,
@@ -387,8 +426,8 @@ func runBenchCache(out string, seed uint64) {
 		entries int
 		ttl     time.Duration
 	}{
-		{0, 0},                     // baseline: every request computes
-		{2, 0},                     // undersized: thrashes under 6 weights
+		{0, 0},                      // baseline: every request computes
+		{2, 0},                      // undersized: thrashes under 6 weights
 		{64, 0},                     // fits: steady-state all-hit
 		{64, 25 * time.Millisecond}, // fits but expires between revisits
 	}

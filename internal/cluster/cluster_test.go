@@ -76,6 +76,51 @@ func TestRoutingSkipsUnhealthy(t *testing.T) {
 	}
 }
 
+// TestInteractiveAffinity pins the router's documented trade-off without
+// launching workers: sequential same-key interactive jobs keep landing on
+// the preferred node, a concurrent one spills to the free node, and a
+// batch job waits for the preferred node instead of spilling.
+func TestInteractiveAffinity(t *testing.T) {
+	p := &Pool{nodes: []*node{{id: 0}, {id: 1}}}
+	for _, nd := range p.nodes {
+		nd.healthy.Store(true)
+	}
+	key := PlaceKey{Class: "interactive", M: 192, N: 192, K: 192}
+	pref := preferredNode(2, key, func(int) bool { return true })
+	for i := 0; i < 5; i++ {
+		nd := p.acquire(key)
+		if nd.id != pref {
+			t.Fatalf("sequential job %d placed on node %d, want preferred node %d", i, nd.id, pref)
+		}
+		nd.mu.Unlock()
+	}
+
+	held := p.acquire(key)
+	spill := p.acquire(key)
+	if spill.id == held.id {
+		t.Fatalf("concurrent interactive job queued on busy node %d instead of spilling", held.id)
+	}
+	spill.mu.Unlock()
+
+	batch := key
+	batch.Class = "batch"
+	got := make(chan int)
+	go func() {
+		nd := p.acquire(batch)
+		got <- nd.id
+		nd.mu.Unlock()
+	}()
+	select {
+	case id := <-got:
+		t.Fatalf("batch job placed on node %d while its preferred node was busy", id)
+	case <-time.After(50 * time.Millisecond):
+	}
+	held.mu.Unlock()
+	if id := <-got; id != pref {
+		t.Errorf("batch job placed on node %d, want preferred node %d", id, pref)
+	}
+}
+
 // armciWant runs the spec on the in-process engine with the node topology.
 func armciWant(t *testing.T, np, ppn int, spec *ipcrt.JobSpec) [][]float64 {
 	t.Helper()

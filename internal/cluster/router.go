@@ -4,8 +4,12 @@ package cluster
 // (shape, transpose case) hash to the same preferred node, so its
 // persistent segment pool stays warm for exactly that shape — the repeat
 // jobs of a serving workload pay zero mmap calls in steady state.
-// Interactive jobs trade that affinity for latency: if the preferred node
-// is busy they take any free node rather than queue behind a batch job.
+// Interactive jobs trade that affinity for latency only under contention:
+// they scan from the preferred node and take the first free one. So a
+// stream of sequential same-key interactive jobs always lands on the one
+// preferred node (it is free each time; the other nodes stay idle, by
+// design), and only a job that arrives while the preferred node is busy
+// spills to another node rather than queue behind it.
 
 // PlaceKey describes one job for placement.
 type PlaceKey struct {

@@ -409,10 +409,12 @@ func (cl *Cluster) handleWorker(w *workerHandle) {
 			default: // stale heartbeat backlog; drop
 			}
 		case opFin:
-			res := &RankResult{Rank: w.rank}
-			if err := json.Unmarshal(f.Body, res); err != nil {
+			hdr, tails := splitLayout(&f)
+			res := &RankResult{}
+			if err := json.Unmarshal(hdr, res); err != nil {
 				res.Err = fmt.Sprintf("unmarshaling FIN: %v", err)
 			}
+			res.Rank, res.C = w.rank, tails[0]
 			cl.fins <- res
 		default:
 			// A confused worker; drop the frame. The job watchdog will
@@ -550,11 +552,17 @@ func (cl *Cluster) RunJob(spec *JobSpec, timeout time.Duration) ([]*RankResult, 
 	default:
 	}
 
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("ipcrt: marshaling job spec: %w", err)
+	// Encode every rank's frame before sending any: a spec whose operands
+	// do not fit its shape must fail here, not after some ranks started.
+	frames := make([]frame, cl.topo.NProcs)
+	for rank := range frames {
+		if err := jobFrame(&frames[rank], spec, cl.topo.NProcs, rank); err != nil {
+			return nil, err
+		}
 	}
-	cl.broadcast(&frame{Op: opJob, Body: body})
+	for rank, w := range cl.workers {
+		w.write(&frames[rank]) // write errors surface via the process watcher
+	}
 
 	results := make([]*RankResult, cl.topo.NProcs)
 	var watchdog <-chan time.Time
@@ -607,6 +615,53 @@ func (cl *Cluster) RunJob(spec *JobSpec, timeout time.Duration) ([]*RankResult, 
 		return results, jobErr
 	}
 	return results, nil
+}
+
+// jobHeader is the JSON part of one rank's job frame: the spec's scalars,
+// whether its operands are inline, and the rank's own ledger salvage when
+// it resumes. Its operand blocks follow as the frame's raw tails.
+type jobHeader struct {
+	*JobSpec
+	Inline     bool     `json:",omitempty"`
+	PriorBits  []uint64 `json:",omitempty"`
+	PriorTasks int      `json:",omitempty"`
+}
+
+// jobFrame encodes rank's job frame: the scalar header plus exactly the
+// blocks inputFor cuts for that rank.
+func jobFrame(f *frame, spec *JobSpec, nprocs, rank int) error {
+	in, err := spec.inputFor(nprocs, rank)
+	if err != nil {
+		return err
+	}
+	h := jobHeader{JobSpec: spec, Inline: in.Inline}
+	var priorC []float64
+	if p := in.Prior; p != nil {
+		priorC, h.PriorBits, h.PriorTasks = p.C, p.Bits, p.Tasks
+	}
+	hdr, err := json.Marshal(h)
+	if err != nil {
+		return fmt.Errorf("ipcrt: marshaling job spec: %w", err)
+	}
+	f.Op = opJob
+	putLayout(f, hdr, in.A, in.B, in.CIn, priorC)
+	return nil
+}
+
+// decodeJob is jobFrame's inverse on the worker: the spec, with the
+// rank's own inputs attached for RunBodyEx.
+func decodeJob(f *frame) (*JobSpec, error) {
+	hdr, tails := splitLayout(f)
+	spec := &JobSpec{ExitRank: -1, HangRank: -1}
+	h := jobHeader{JobSpec: spec}
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		return nil, fmt.Errorf("ipcrt: bad job spec: %w", err)
+	}
+	spec.own = &rankInput{Inline: h.Inline, A: tails[0], B: tails[1], CIn: tails[2], frameBytes: int64(len(f.Body))}
+	if h.PriorTasks > 0 {
+		spec.own.Prior = &Salvage{Valid: true, C: tails[3], Bits: h.PriorBits, Tasks: h.PriorTasks}
+	}
+	return spec, nil
 }
 
 // Ping broadcasts a heartbeat and waits for every rank's matching pong —

@@ -17,6 +17,8 @@ func FuzzIPCWire(f *testing.F) {
 		{Op: opPut, Seq: 9, P: [5]int64{0, 8}, Body: floatBytes([]float64{1, 2, 3})},
 		{Op: opMallocAck, P: [5]int64{3}, Body: putInt64s([]int64{8, 8})},
 		{Op: opErr, Seq: 5, Body: []byte("nope")},
+		layoutFrame(opJob, `{"M":2,"N":2,"K":2,"Inline":true}`, []float64{1, 2}, []float64{3, 4}, []float64{5}, nil),
+		layoutFrame(opFin, `{"Rank":1,"CRows":1,"CCols":2}`, []float64{6, 7}),
 	}
 	for _, fr := range seed {
 		var buf bytes.Buffer

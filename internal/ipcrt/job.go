@@ -14,13 +14,14 @@ import (
 	"srumma/internal/rt"
 )
 
-// JobSpec is one SPMD job, serialized to every worker. Closures cannot
-// cross a process boundary, so the multi-process engine dispatches jobs by
-// value: the spec names the algorithm and its parameters, and RunBody —
-// the one shared job body — reconstructs identical operands on every rank
-// from the seed. Running the same spec through RunBody on the in-process
-// armci engine (same topology) must produce bit-identical C blocks, which
-// is exactly what the ipc-smoke gate asserts.
+// JobSpec is one SPMD job. Closures cannot cross a process boundary, so
+// the multi-process engine dispatches jobs by value: the spec names the
+// algorithm and its parameters, and RunBody — the one shared job body —
+// either reconstructs identical operands on every rank from the seed or
+// loads the rank's own blocks of inline operands. Running the same spec
+// through RunBody on the in-process armci engine (same topology) must
+// produce bit-identical C blocks, which is exactly what the ipc-smoke
+// gate asserts.
 type JobSpec struct {
 	// Problem shape: C (MxN) = alpha * op(A) op(B) + beta * C, contraction
 	// length K, transpose case core.Case.
@@ -30,21 +31,23 @@ type JobSpec struct {
 	// Seed generates A (Seed), B (Seed+1) and, when Beta != 0, the initial
 	// C (Seed+2) via mat.Random on every rank identically.
 	Seed uint64
-	// Data switches to inline operands (the serving path): A, B and — when
-	// Beta != 0 — CIn carry the full row-major matrices, and every rank
-	// packs its own block out of them instead of seed-generating.
-	Data bool
-	A    []float64 `json:",omitempty"`
-	B    []float64 `json:",omitempty"`
-	CIn  []float64 `json:",omitempty"`
+	// A, B and — when Beta != 0 — CIn are inline operands (the serving
+	// path): full row-major matrices in their stored (pre-transpose)
+	// shapes. A != nil switches from seed generation to them. They never
+	// cross the wire whole: RunJob cuts each rank's own blocks out of them
+	// (inputFor) and ships only those, as raw tails of that rank's job
+	// frame.
+	A   []float64 `json:"-"`
+	B   []float64 `json:"-"`
+	CIn []float64 `json:"-"`
 	// UseLedger attaches a core.JobLedger so a crashing rank's completion
-	// bitset rides back in its salvage; Prior* restore per-rank state
-	// salvaged from a failed attempt (C block, ledger bits, task count) —
-	// a rank with all three resumes mid-job, every other rank restarts.
-	UseLedger  bool
-	PriorC     map[int][]float64 `json:",omitempty"`
-	PriorBits  map[int][]uint64  `json:",omitempty"`
-	PriorTasks map[int]int       `json:",omitempty"`
+	// bitset rides back in its salvage. Resume, read on the coordinator
+	// like A/B/CIn, holds the per-rank salvage of a failed attempt: a rank
+	// whose entry carries a partial C block, ledger bits and a task count
+	// resumes mid-job; every other rank restarts. RunJob ships each rank
+	// only its own entry.
+	UseLedger bool
+	Resume    map[int]*Salvage `json:"-"`
 	// ABFT forwards Huang–Abraham block verification to core.Options.
 	ABFT    bool
 	ABFTTol float64
@@ -82,6 +85,81 @@ type JobSpec struct {
 	ExitRank int
 	ExitCode int
 	HangRank int
+
+	// own is this rank's share of the inputs as its job frame delivered
+	// them (worker side only); nil means cut them from A/B/CIn/Resume.
+	own *rankInput
+}
+
+// rankInput is one rank's share of a job's inputs: whether the operands
+// are inline, its own A, B and C-in blocks (tight row-major) when they
+// are, and its salvage when it resumes a failed attempt.
+type rankInput struct {
+	Inline    bool
+	A, B, CIn []float64
+	Prior     *Salvage
+	// frameBytes is the body size of the job frame that delivered this
+	// share (worker side; reported as RankResult.JobBytes).
+	frameBytes int64
+}
+
+// inputFor cuts rank's share of the inputs out of the spec, on the same
+// core.Dists layout RunBodyEx allocates. RunJob ships exactly these
+// blocks to each rank, and an in-process RunBody loads them directly, so
+// the two paths cannot diverge.
+func (spec *JobSpec) inputFor(nprocs, rank int) (*rankInput, error) {
+	in := &rankInput{Inline: spec.A != nil}
+	if p := spec.Resume[rank]; p != nil && p.Valid {
+		in.Prior = p
+	}
+	if !in.Inline {
+		return in, nil
+	}
+	d := core.Dims{M: spec.M, N: spec.N, K: spec.K}
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	g, err := grid.Square(nprocs)
+	if err != nil {
+		return nil, err
+	}
+	da, db, dc := core.Dists(g, d, core.Case(spec.Case))
+	if in.A, err = cutBlock(da, rank, spec.A, "A"); err != nil {
+		return nil, err
+	}
+	if in.B, err = cutBlock(db, rank, spec.B, "B"); err != nil {
+		return nil, err
+	}
+	if spec.Beta != 0 {
+		if in.CIn, err = cutBlock(dc, rank, spec.CIn, "C"); err != nil {
+			return nil, err
+		}
+	}
+	return in, nil
+}
+
+// cutBlock packs rank's block of a row-major global operand.
+func cutBlock(d *grid.BlockDist, rank int, data []float64, name string) ([]float64, error) {
+	if len(data) != d.Rows*d.Cols {
+		return nil, fmt.Errorf("ipcrt: inline operand %s holds %d elements, want %dx%d", name, len(data), d.Rows, d.Cols)
+	}
+	pr, pc := d.G.Coords(rank)
+	r, c := d.BlockShape(pr, pc)
+	i, j := d.BlockOrigin(pr, pc)
+	out := make([]float64, r*c)
+	mat.PackInto(out, mat.FromData(d.Rows, d.Cols, data), i, j, r, c)
+	return out, nil
+}
+
+// loadOwn writes a delivered block into this rank's segment of g, refusing
+// one whose size does not match the local shape.
+func loadOwn(c rt.Ctx, d *grid.BlockDist, g rt.Global, vals []float64, name string) error {
+	r, cc := d.LocalShape(c.Rank())
+	if len(vals) != r*cc {
+		return fmt.Errorf("ipcrt: rank %d: %s block holds %d elements, want %dx%d", c.Rank(), name, len(vals), r, cc)
+	}
+	c.WriteBuf(c.Local(g), 0, vals)
+	return nil
 }
 
 // DefaultSpec returns a spec with the hooks disabled and sane scalars.
@@ -96,9 +174,13 @@ type RankResult struct {
 	// a core.Multiply error, with the rank's context.
 	Err   string
 	Stats *rt.Stats
-	// C block (row-major CRows x CCols), present when the spec asked for it.
-	C            []float64
+	// C block (row-major CRows x CCols), present when the spec asked for it
+	// or the body salvaged one. It travels as the FIN frame's raw tail.
+	C            []float64 `json:"-"`
 	CRows, CCols int
+	// JobBytes is the body size of the job frame this rank received: the
+	// scalar header plus its own operand blocks.
+	JobBytes int64
 	// Trace events on lane == rank, with the worker's recorder epoch in
 	// unix nanos so the coordinator can shift them onto its own epoch.
 	Events        []obs.Event
@@ -132,20 +214,21 @@ type Salvage struct {
 	Tasks      int
 }
 
+// Salvage returns the recoverable state a failed rank shipped back, in the
+// form JobSpec.Resume takes, or nil when it salvaged nothing.
+func (r *RankResult) Salvage() *Salvage {
+	if r == nil || !r.Salvaged {
+		return nil
+	}
+	return &Salvage{Valid: true, C: r.C, Rows: r.CRows, Cols: r.CCols, Bits: r.LedgerBits, Tasks: r.LedgerTasks}
+}
+
 // RunBody executes one spec against any data-carrying engine Ctx. It is
 // the body both sides of the bit-identity gate run: workers call it with
 // their ipc ctx, and comparison harnesses call it on armci with the same
 // topology. Results: this rank's C block and its shape.
 func RunBody(c rt.Ctx, spec *JobSpec) ([]float64, int, int, error) {
 	return RunBodyEx(c, spec, nil)
-}
-
-// matFrom wraps a row-major inline operand as a matrix view.
-func matFrom(rows, cols int, data []float64, name string) *mat.Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("ipcrt: inline operand %s holds %d elements, want %dx%d", name, len(data), rows, cols))
-	}
-	return &mat.Matrix{Rows: rows, Cols: cols, Stride: cols, Data: data}
 }
 
 // RunBodyEx is RunBody with a salvage sink: when the body panics mid-run
@@ -173,6 +256,12 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *Salvage) ([]float64, int, int, err
 
 	me := c.Rank()
 	rows, cols := dc.LocalShape(me)
+	in := spec.own
+	if in == nil {
+		if in, err = spec.inputFor(c.Size(), me); err != nil {
+			return nil, 0, 0, err
+		}
+	}
 
 	// Resume state: this rank rejoins mid-job only with all three pieces
 	// of salvage (partial C, ledger bits, task count); otherwise it
@@ -181,35 +270,31 @@ func RunBodyEx(c rt.Ctx, spec *JobSpec, salv *Salvage) ([]float64, int, int, err
 	if spec.UseLedger {
 		jl = core.NewJobLedger(c.Size())
 	}
-	prior := spec.PriorC[me]
+	prior := in.Prior
 	resumed := false
-	if jl != nil && len(prior) == rows*cols {
-		if bits := spec.PriorBits[me]; len(bits) > 0 && spec.PriorTasks[me] > 0 {
-			jl.RestoreRank(me, spec.PriorTasks[me], bits)
-			resumed = true
-		}
+	if jl != nil && prior != nil && len(prior.C) == rows*cols && len(prior.Bits) > 0 && prior.Tasks > 0 {
+		jl.RestoreRank(me, prior.Tasks, prior.Bits)
+		resumed = true
 	}
 
-	ar, ac := d.M, d.K
-	if cs.TransA() {
-		ar, ac = d.K, d.M
-	}
-	br, bc := d.K, d.N
-	if cs.TransB() {
-		br, bc = d.N, d.K
-	}
-	if spec.Data {
-		driver.LoadBlock(c, da, ga, matFrom(ar, ac, spec.A, "A"))
-		driver.LoadBlock(c, db, gb, matFrom(br, bc, spec.B, "B"))
+	if in.Inline {
+		if err := loadOwn(c, da, ga, in.A, "A"); err != nil {
+			return nil, 0, 0, err
+		}
+		if err := loadOwn(c, db, gb, in.B, "B"); err != nil {
+			return nil, 0, 0, err
+		}
 	} else {
-		driver.LoadBlock(c, da, ga, mat.Random(ar, ac, spec.Seed))
-		driver.LoadBlock(c, db, gb, mat.Random(br, bc, spec.Seed+1))
+		driver.LoadBlock(c, da, ga, mat.Random(da.Rows, da.Cols, spec.Seed))
+		driver.LoadBlock(c, db, gb, mat.Random(db.Rows, db.Cols, spec.Seed+1))
 	}
 	switch {
 	case resumed:
-		c.WriteBuf(c.Local(gc), 0, prior)
-	case spec.Beta != 0 && spec.Data:
-		driver.LoadBlock(c, dc, gc, matFrom(d.M, d.N, spec.CIn, "C"))
+		c.WriteBuf(c.Local(gc), 0, prior.C)
+	case spec.Beta != 0 && in.Inline:
+		if err := loadOwn(c, dc, gc, in.CIn, "C"); err != nil {
+			return nil, 0, 0, err
+		}
 	case spec.Beta != 0:
 		driver.LoadBlock(c, dc, gc, mat.Random(d.M, d.N, spec.Seed+2))
 	}

@@ -234,6 +234,10 @@ func FuzzTCPWire(f *testing.F) {
 		{Op: opPut, Seq: 9, P: [5]int64{1, 8}, Body: floatBytes([]float64{1, 2, 3})},
 		{Op: opFetchAdd, Seq: 10, P: [5]int64{1, 3, float64bits(1)}},
 		{Op: opMsg, P: [5]int64{0, 17}, Body: floatBytes([]float64{9})},
+		// Control-plane frames with raw tails must be refused by the RMA
+		// server, never decoded into a job.
+		layoutFrame(opJob, `{"M":2,"N":2,"K":2,"Inline":true}`, []float64{1, 2}, []float64{3, 4}, []float64{5}, nil),
+		layoutFrame(opFin, `{"Rank":1,"CRows":1,"CCols":2}`, []float64{6, 7}),
 	}
 	for _, fr := range seed {
 		var buf bytes.Buffer

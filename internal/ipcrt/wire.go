@@ -44,8 +44,9 @@ import (
 //	opBarrier    (none)                          ack: opBarrierAck
 //	opMalloc     p0=elems                        ack: opMallocAck p0=segID, body=int64 sizes
 //	opFree       p0=segID                        ack: opFreeAck
-//	opFin        body=JSON RankResult
-//	opJob        body=JSON JobSpec
+//	opFin        p0=hdrLen p1=nC, body=JSON RankResult + nC float64s (C block)
+//	opJob        p0=hdrLen p1=nA p2=nB p3=nCIn p4=nPriorC,
+//	             body=JSON jobHeader + nA+nB+nCIn+nPriorC float64s
 //	opGet        p0=segID p1=off p2=n            ack: body=floats
 //	opGetSub     p0=segID p1=off p2=ld p3=rows p4=cols   ack: body=floats (packed)
 //	opPut        p0=segID p1=off, body=floats    ack: empty
@@ -59,6 +60,19 @@ import (
 //	opAddrs      body=JSON []string per-rank RMA addresses (coordinator -> worker)
 //	opPing       p0=ping seq (coordinator -> worker)     reply: opPong
 //	opPong       p0=echoed ping seq (worker -> coordinator)
+//
+// Job and FIN frames carry operands as raw per-rank blocks rather than
+// JSON arrays. The body opens with a JSON header of scalars, space-padded
+// to hdrLen (a multiple of 8, so the tails stay 8-byte aligned), followed
+// by the little-endian float64 tails back to back in slot order:
+//
+//	opJob  this rank's A block, B block, C-in block (Beta != 0), and its
+//	       salvaged C block when it resumes a failed attempt
+//	opFin  this rank's C block: the result (ReturnC) or a failed body's
+//	       partial block (Salvaged)
+//
+// A rank therefore receives O(N²/P) operand bytes per job, never the
+// whole problem.
 const (
 	wireMagic   = uint32(0x31495253) // "SRI1" read little-endian
 	wireVersion = 1
@@ -232,6 +246,8 @@ func validateFrame(f *frame, bodyLen int64) error {
 		if f.P[0] < 0 {
 			return fmt.Errorf("ipcrt: msg: negative source rank %d", f.P[0])
 		}
+	case opJob, opFin:
+		return validateLayout(f, bodyLen)
 	}
 	switch f.Op {
 	case opPut, opPutSub, opAcc, opMsg:
@@ -240,6 +256,79 @@ func validateFrame(f *frame, bodyLen int64) error {
 		}
 	}
 	return nil
+}
+
+// layoutTails is the number of float64 tails a job or FIN body carries.
+func layoutTails(o op) int {
+	if o == opJob {
+		return 4
+	}
+	return 1
+}
+
+// validateLayout checks a job or FIN frame's body layout before anything
+// is allocated: an aligned header no longer than the body, every tail
+// count in [0, maxElems] (unused slots zero), and header plus tails
+// exactly filling the body. Each term is bounded before it is summed, so
+// the sum cannot overflow.
+func validateLayout(f *frame, bodyLen int64) error {
+	hdr := f.P[0]
+	if hdr < 0 || hdr > bodyLen || hdr%8 != 0 {
+		return fmt.Errorf("ipcrt: %v: header length %d invalid for a %d-byte body", f.Op, hdr, bodyLen)
+	}
+	sum := hdr
+	for i, n := range f.P[1:] {
+		if i >= layoutTails(f.Op) {
+			if n != 0 {
+				return fmt.Errorf("ipcrt: %v: unused slot p%d = %d", f.Op, i+1, n)
+			}
+			continue
+		}
+		if n < 0 || n > maxElems {
+			return fmt.Errorf("ipcrt: %v: tail element count %d out of range", f.Op, n)
+		}
+		sum += 8 * n
+	}
+	if sum != bodyLen {
+		return fmt.Errorf("ipcrt: %v: layout of %d bytes does not match the %d-byte body", f.Op, sum, bodyLen)
+	}
+	return nil
+}
+
+// putLayout fills f's body and parameter slots with a job or FIN layout:
+// the JSON header padded with spaces to a multiple of 8 bytes, then each
+// tail as raw little-endian float64s.
+func putLayout(f *frame, header []byte, tails ...[]float64) {
+	hdr := (len(header) + 7) &^ 7
+	n := hdr
+	for _, t := range tails {
+		n += 8 * len(t)
+	}
+	body := make([]byte, n)
+	copy(body, header)
+	for i := len(header); i < hdr; i++ {
+		body[i] = ' '
+	}
+	f.P = [5]int64{int64(hdr)}
+	off := hdr
+	for i, t := range tails {
+		f.P[1+i] = int64(len(t))
+		off += copy(body[off:], floatBytes(t))
+	}
+	f.Body = body
+}
+
+// splitLayout cuts a validated job or FIN body into its JSON header and
+// its float64 tails, which alias the body on little-endian hosts.
+func splitLayout(f *frame) ([]byte, [][]float64) {
+	off := f.P[0]
+	tails := make([][]float64, layoutTails(f.Op))
+	for i := range tails {
+		end := off + 8*f.P[1+i]
+		tails[i] = bodyFloats(f.Body[off:end])
+		off = end
+	}
+	return f.Body[:f.P[0]], tails
 }
 
 // writeFrame writes one frame. Callers serialize per connection.
@@ -311,6 +400,23 @@ func copyFloats(dst []float64, b []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
+}
+
+// bodyFloats views an LE float64 byte run as a []float64: zero-copy on
+// little-endian hosts when the run is 8-byte aligned (job and FIN tails
+// are), decoded into a fresh slice otherwise. The result may alias b.
+func bodyFloats(b []byte) []float64 {
+	if len(b) == 0 {
+		return nil
+	}
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
+		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
+	}
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return out
 }
 
 // putInt64s encodes a []int64 as an LE byte body (segment size tables).

@@ -23,7 +23,9 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: opMsg, P: [5]int64{2, 17}, Body: floatBytes([]float64{9})},
 		{Op: opAck, Seq: 42, Body: floatBytes([]float64{0, 1, 2})},
 		{Op: opErr, Seq: 44, Body: []byte("boom")},
-		{Op: opFin, Body: []byte(`{"Rank":1}`)},
+		layoutFrame(opFin, `{"Rank":1}`, []float64{1, 2, 3}),
+		layoutFrame(opFin, `{"Rank":2,"Err":"boom"}`, nil),
+		layoutFrame(opJob, `{"M":2,"N":2,"K":2}`, []float64{1, 2}, []float64{3}, nil, []float64{4, 5, 6}),
 	}
 	for _, want := range cases {
 		var buf bytes.Buffer
@@ -40,7 +42,44 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// corrupt returns the encoding of a valid opGet frame with mut applied.
+// layoutFrame builds a job or FIN frame with a JSON header and raw tails.
+func layoutFrame(o op, hdr string, tails ...[]float64) frame {
+	f := frame{Op: o}
+	putLayout(&f, []byte(hdr), tails...)
+	return f
+}
+
+func TestWireLayout(t *testing.T) {
+	f := layoutFrame(opJob, `{"M":3}`, []float64{1.5}, nil, []float64{-2, math.Pi}, []float64{7})
+	if f.P != [5]int64{8, 1, 0, 2, 1} {
+		t.Fatalf("layout slots %v, want [8 1 0 2 1] (7-byte header padded to 8)", f.P)
+	}
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, &f); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, tails := splitLayout(&got)
+	if string(hdr) != `{"M":3} ` {
+		t.Errorf("header %q", hdr)
+	}
+	want := [][]float64{{1.5}, nil, {-2, math.Pi}, {7}}
+	for i := range want {
+		if len(tails[i]) != len(want[i]) {
+			t.Fatalf("tail %d: %v, want %v", i, tails[i], want[i])
+		}
+		for j := range want[i] {
+			if math.Float64bits(tails[i][j]) != math.Float64bits(want[i][j]) {
+				t.Errorf("tail %d element %d: %v, want %v", i, j, tails[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// corrupt returns the encoding of a valid frame with mut applied to its header.
 func corrupt(t *testing.T, f frame, mut func(h []byte)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -54,6 +93,13 @@ func corrupt(t *testing.T, f frame, mut func(h []byte)) []byte {
 
 func TestWireMalformed(t *testing.T) {
 	get := frame{Op: opGet, Seq: 1, P: [5]int64{1, 0, 8}}
+	// Job and FIN layouts: header length, tail counts and body size must
+	// agree exactly before any of the body is read.
+	job := layoutFrame(opJob, `{"M":2,"N":2,"K":2}`, []float64{1, 2}, []float64{3, 4}, nil, nil)
+	fin := layoutFrame(opFin, `{"Rank":0}`, []float64{1, 2, 3})
+	slot := func(i int, v uint64) func(h []byte) {
+		return func(h []byte) { binary.LittleEndian.PutUint64(h[16+8*i:], v) }
+	}
 	tests := []struct {
 		name string
 		raw  []byte
@@ -107,6 +153,28 @@ func TestWireMalformed(t *testing.T) {
 		{"msg negative source", corrupt(t, frame{Op: opMsg}, func(h []byte) {
 			binary.LittleEndian.PutUint64(h[16:24], math.MaxUint64)
 		}), "negative source"},
+		{"job header longer than body", corrupt(t, job, slot(0, 1<<20)), "header length"},
+		{"fin header longer than body", corrupt(t, fin, slot(0, 1<<20)), "header length"},
+		{"job negative header", corrupt(t, job, slot(0, math.MaxUint64)), "header length"},
+		{"job unaligned header", corrupt(t, job, slot(0, 4)), "header length"},
+		{"job negative count", corrupt(t, job, slot(1, math.MaxUint64)), "element count"},
+		{"fin negative count", corrupt(t, fin, slot(1, math.MaxUint64)), "element count"},
+		{"job count above maxElems", corrupt(t, job, slot(3, uint64(maxElems)+1)), "element count"},
+		{"fin count above maxElems", corrupt(t, fin, slot(1, uint64(maxElems)+1)), "element count"},
+		// 8 * 2^61 wraps to 0 in int64: a naive sum would match the body.
+		{"job count sum wraps", corrupt(t, job, func(h []byte) {
+			slot(1, 1<<61)(h)
+			slot(2, 1<<61)(h)
+			slot(0, uint64(job.P[0]+32))(h)
+		}), "element count"},
+		{"job counts sum past body", corrupt(t, job, func(h []byte) {
+			for i := 1; i <= 4; i++ {
+				slot(i, uint64(maxElems))(h)
+			}
+		}), "layout"},
+		{"job layout short of body", corrupt(t, job, slot(2, 1)), "layout"},
+		{"fin layout past body", corrupt(t, fin, slot(1, 4)), "layout"},
+		{"fin unused slot set", corrupt(t, fin, slot(3, 1)), "unused slot"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -158,11 +158,14 @@ func RunWorker(p WorkerParams) int {
 		select {
 		case spec := <-cc.jobs:
 			res := c.runJob(spec)
-			body, err := json.Marshal(res)
+			hdr, err := json.Marshal(res)
 			if err != nil {
-				body, _ = json.Marshal(&RankResult{Rank: rank, Err: fmt.Sprintf("marshaling result: %v", err)})
+				res = &RankResult{Rank: rank, Err: fmt.Sprintf("marshaling result: %v", err)}
+				hdr, _ = json.Marshal(res)
 			}
-			if err := cc.write(&frame{Op: opFin, Body: body}); err != nil {
+			fin := frame{Op: opFin}
+			putLayout(&fin, hdr, res.C)
+			if err := cc.write(&fin); err != nil {
 				return 1
 			}
 		case <-cc.shutdown:
@@ -187,6 +190,9 @@ func (c *ipcCtx) runJob(spec *JobSpec) *RankResult {
 	}
 
 	res := &RankResult{Rank: c.rank}
+	if spec.own != nil {
+		res.JobBytes = spec.own.frameBytes
+	}
 	c.stats = &rt.Stats{}
 	c.directMaps = 0
 	var rec *obs.Recorder
@@ -300,9 +306,9 @@ func (cc *coordClient) readLoop() {
 		}
 		switch f.Op {
 		case opJob:
-			spec := &JobSpec{ExitRank: -1, HangRank: -1}
-			if err := json.Unmarshal(f.Body, spec); err != nil {
-				cc.die(fmt.Errorf("ipcrt: bad job spec: %w", err))
+			spec, err := decodeJob(&f)
+			if err != nil {
+				cc.die(err)
 				return
 			}
 			cc.jobs <- spec

@@ -37,10 +37,8 @@ type clusterRecover struct {
 	resume bool // ledger-based resume enabled (!NoResume)
 	abft   bool // this request verifies blocks (may be shed by brownout)
 
-	mu     sync.Mutex
-	priorC map[int][]float64
-	bits   map[int][]uint64
-	tasks  map[int]int
+	mu    sync.Mutex
+	prior map[int]*ipcrt.Salvage
 }
 
 func (s *Server) newClusterRecover(abft bool) *clusterRecover {
@@ -54,19 +52,16 @@ func (s *Server) newClusterRecover(abft bool) *clusterRecover {
 func (cr *clusterRecover) store(results []*ipcrt.RankResult) {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
-	cr.priorC, cr.bits, cr.tasks = nil, nil, nil
+	cr.prior = nil
 	for _, r := range results {
-		if r == nil || !r.Salvaged {
+		p := r.Salvage()
+		if p == nil {
 			continue
 		}
-		if cr.priorC == nil {
-			cr.priorC = make(map[int][]float64)
-			cr.bits = make(map[int][]uint64)
-			cr.tasks = make(map[int]int)
+		if cr.prior == nil {
+			cr.prior = make(map[int]*ipcrt.Salvage)
 		}
-		cr.priorC[r.Rank] = r.C
-		cr.bits[r.Rank] = r.LedgerBits
-		cr.tasks[r.Rank] = r.LedgerTasks
+		cr.prior[r.Rank] = p
 	}
 }
 
@@ -76,8 +71,8 @@ func (cr *clusterRecover) resumedTasks() int {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	n := 0
-	for _, bits := range cr.bits {
-		for _, w := range bits {
+	for _, p := range cr.prior {
+		for _, w := range p.Bits {
 			n += mathbits.OnesCount64(w)
 		}
 	}
@@ -87,12 +82,12 @@ func (cr *clusterRecover) resumedTasks() int {
 // take consumes the salvage for one attempt. Consuming on read keeps
 // salvage and marks in lockstep across multiple retries, exactly like
 // recoverJob.take: stale salvage can never pair with newer ledger state.
-func (cr *clusterRecover) take() (c map[int][]float64, bits map[int][]uint64, tasks map[int]int) {
+func (cr *clusterRecover) take() map[int]*ipcrt.Salvage {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
-	c, bits, tasks = cr.priorC, cr.bits, cr.tasks
-	cr.priorC, cr.bits, cr.tasks = nil, nil, nil
-	return c, bits, tasks
+	prior := cr.prior
+	cr.prior = nil
+	return prior
 }
 
 // execClusterTask runs one sharded multiply from the scheduler. The team
@@ -127,7 +122,6 @@ func (s *Server) runCluster(job *schedJob) (*mat.Matrix, error) {
 		Case:  int(cs),
 		Alpha: req.alpha(),
 		Beta:  req.beta(),
-		Data:  true,
 		A:     req.A,
 		B:     req.B,
 
@@ -143,7 +137,7 @@ func (s *Server) runCluster(job *schedJob) (*mat.Matrix, error) {
 	}
 	if crec.resume {
 		spec.UseLedger = true
-		spec.PriorC, spec.PriorBits, spec.PriorTasks = crec.take()
+		spec.Resume = crec.take()
 	}
 	if crec.abft {
 		spec.ABFT = true

@@ -1577,8 +1577,9 @@ type WireArmReport struct {
 // with client-observed latency quantiles, exact wire bytes, and the
 // bit-identity of every response against the first computed result.
 type WireBenchReport struct {
-	Shape    string `json:"shape"`
-	Requests int    `json:"requests_per_arm"`
+	Host     HostInfo `json:"host"`
+	Shape    string   `json:"shape"`
+	Requests int      `json:"requests_per_arm"`
 
 	JSON   WireArmReport `json:"json"`
 	Binary WireArmReport `json:"binary"`
@@ -1735,6 +1736,7 @@ func runBenchWire(out string, seed uint64) {
 	tol := 1e-9 // engine vs serial: float-summation order only
 
 	rep := WireBenchReport{
+		Host:         hostInfo(),
 		Shape:        shape{dim, dim, dim}.String(),
 		Requests:     wireBenchRequests,
 		BitIdentical: true,

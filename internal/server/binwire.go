@@ -26,7 +26,6 @@ package server
 import (
 	"compress/gzip"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"srumma/internal/core"
@@ -150,10 +150,16 @@ type alignedBuf struct {
 }
 
 // bufPool pools aligned operand buffers by power-of-two size class (the
-// armci scratch-pool shape), keeping steady-state binary decodes
-// allocation-free.
+// armci scratch-pool shape), keeping steady-state decodes on both wires
+// free of operand allocations.
 type bufPool struct {
 	classes [40]sync.Pool
+
+	// drawn counts the floats get has handed out; out counts the buffers
+	// not yet put back (abandoned buffers stay counted). Tests read them to
+	// bound what a decode draws and to prove every error path returns its
+	// buffers.
+	drawn, out atomic.Int64
 }
 
 // bufSizeClass returns the smallest c with 1<<c >= n (n >= 1).
@@ -177,6 +183,8 @@ func (p *bufPool) get(n int) *alignedBuf {
 	addr := uintptr(unsafe.Pointer(&b.raw[0]))
 	off := int((bufAlign-addr%bufAlign)%bufAlign) / 8
 	b.data = b.raw[off : off+n]
+	p.drawn.Add(int64(n))
+	p.out.Add(1)
 	return b
 }
 
@@ -186,6 +194,7 @@ func (p *bufPool) put(b *alignedBuf) {
 		return
 	}
 	b.data = nil
+	p.out.Add(-1)
 	p.classes[b.cls].Put(b)
 }
 
@@ -216,8 +225,9 @@ type wireRequest struct {
 	gzipped bool   // request body arrived gzip-encoded
 	bytesIn int64  // wire bytes of the request body (compressed size if gzipped)
 
-	// bufs holds pooled operand storage in A, B, C order; entries are nil
-	// on the JSON wire or once ownership moved into the block table.
+	// bufs holds pooled operand storage in A, B, C order; an entry is nil
+	// for an absent or empty operand, or once ownership moved into the
+	// block table.
 	bufs [3]*alignedBuf
 
 	// Content addressing (filled by Server.computeDigests when the cache
@@ -567,6 +577,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireReq
 	} else {
 		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, jsonBodyLimit(s.cfg.MaxDim))}
 		var body io.Reader = cr
+		contentLength := r.ContentLength
 		if wr.gzipped {
 			gz, err := gzip.NewReader(cr)
 			if err != nil {
@@ -574,15 +585,23 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*wireReq
 			}
 			defer gz.Close()
 			body = gz
+			contentLength = -1
 		}
-		err := json.NewDecoder(body).Decode(&wr.req)
+		bp := getJSONBuf()
+		data, err := readJSONBody(body, contentLength, *bp)
 		wr.bytesIn = cr.n
 		if err != nil {
+			putJSONBuf(bp, data)
 			werr := badWire("bad request body: %v", err)
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
 				werr.status = http.StatusRequestEntityTooLarge
 			}
+			return nil, werr
+		}
+		werr := decodeJSONRequest(data, s.cfg.MaxDim, s.pool, wr)
+		putJSONBuf(bp, data)
+		if werr != nil {
 			return nil, werr
 		}
 	}

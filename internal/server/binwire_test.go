@@ -279,6 +279,7 @@ func TestJSONWireMalformed(t *testing.T) {
 		{"truncated json", `{"a_rows": 2, "a_cols":`, http.StatusBadRequest},
 		{"nan alpha", `{"a_rows":1,"a_cols":1,"a":[1],"b_rows":1,"b_cols":1,"b":[1],"alpha":"NaN"}`, http.StatusBadRequest},
 		{"length mismatch", `{"a_rows":2,"a_cols":2,"a":[1,2,3],"b_rows":2,"b_cols":2,"b":[1,2,3,4]}`, http.StatusBadRequest},
+		{"null element", `{"a_rows":1,"a_cols":2,"a":[1,null],"b_rows":2,"b_cols":1,"b":[1,2]}`, http.StatusBadRequest},
 		{"oversized body", func() string {
 			b, _ := json.Marshal(MultiplyRequest{ARows: 200, ACols: 200, A: big, BRows: 200, BCols: 200, B: big})
 			return string(b)

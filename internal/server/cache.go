@@ -251,7 +251,7 @@ func (c *resultCache) stats() CacheStats {
 
 type blockRef struct {
 	data []float64
-	buf  *alignedBuf // pooled storage to return at refcount zero; nil for JSON-wire operands
+	buf  *alignedBuf // pooled storage to return at refcount zero; nil once abandoned
 	refs int
 }
 
@@ -275,7 +275,7 @@ func newBlockTable(pool *bufPool, reg *obs.Registry) *blockTable {
 // intern registers (dig, data) and returns the canonical slice for that
 // content. If the digest is already live, the caller's own buffer is
 // returned to the pool and the existing copy adopted. buf is the pooled
-// storage backing data (nil when data is not pooled, e.g. JSON-decoded).
+// storage backing data.
 // Every successful intern must be paired with one release(dig).
 func (t *blockTable) intern(dig digest, data []float64, buf *alignedBuf) []float64 {
 	t.mu.Lock()
@@ -284,9 +284,7 @@ func (t *blockTable) intern(dig digest, data []float64, buf *alignedBuf) []float
 		ref.refs++
 		t.mu.Unlock()
 		t.dedup.Inc()
-		if buf != nil {
-			t.pool.put(buf)
-		}
+		t.pool.put(buf)
 		return ref.data
 	}
 	t.blocks[dig] = &blockRef{data: data, buf: buf, refs: 1}
@@ -310,9 +308,7 @@ func (t *blockTable) release(dig digest) {
 	}
 	delete(t.blocks, dig)
 	t.mu.Unlock()
-	if ref.buf != nil {
-		t.pool.put(ref.buf)
-	}
+	t.pool.put(ref.buf) // nil once abandoned: nothing to recycle
 }
 
 // abandon is release for a request whose engine run may have leaked rank

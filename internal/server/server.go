@@ -958,9 +958,14 @@ func (s *Server) writeOK(w http.ResponseWriter, env *reqEnv, resp *MultiplyRespo
 			encodeBinaryResponse(cw, resp.Rows, resp.Cols, resp.C)
 		}
 	} else {
+		bp := getJSONBuf()
+		body, err := appendJSONResponse(*bp, resp)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		json.NewEncoder(cw).Encode(resp)
+		if err == nil { // like json.Encoder, write nothing for a non-finite value
+			cw.Write(body)
+		}
+		putJSONBuf(bp, body)
 	}
 	s.met.noteWire(env.wr.wire, env.wr.bytesIn, cw.n)
 }

@@ -189,9 +189,10 @@ bench-recover:
 
 # Short fuzzing session over the numeric kernels, index math, the fault
 # planner, the binary wire decoder (crash-free on arbitrary bytes,
-# encode/decode round-trip bit-identical) and the JSON wire decoder
+# encode/decode round-trip bit-identical), the JSON wire decoder
 # (differential against encoding/json: same accept/reject, bit-identical
-# operands).
+# operands) and the SRUMMA executor (random grids, shapes, cases, resumed
+# attempts, slow owners and degraded mode against serial dgemm).
 fuzz:
 	$(GO) test -fuzz=FuzzGemmMatchesNaive -fuzztime=30s ./internal/mat
 	$(GO) test -fuzz=FuzzIntersect -fuzztime=15s ./internal/grid
@@ -199,6 +200,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPlan -fuzztime=15s ./internal/faults
 	$(GO) test -fuzz=FuzzBinWire -fuzztime=15s ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzJSONWire -fuzztime=15s ./internal/server
+	$(GO) test -run '^$$' -fuzz=FuzzExecutor -fuzztime=15s ./internal/core
 	$(GO) test -fuzz=FuzzIPCWire -fuzztime=15s ./internal/ipcrt
 	$(GO) test -fuzz=FuzzTCPWire -fuzztime=15s ./internal/ipcrt
 

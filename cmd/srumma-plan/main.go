@@ -77,6 +77,7 @@ func main() {
 
 	fmt.Printf("%4s %5s  %-22s %-22s %-18s %s\n", "#", "kIdx", "A operand", "B operand", "C view", "flags")
 	nShared, nFetchA, nFetchB := 0, 0, 0
+	touched := core.Touched{}
 	for i, t := range tasks {
 		aAcc, bAcc := "fetch", "fetch"
 		if t.ADirect {
@@ -93,7 +94,7 @@ func main() {
 			nShared++
 		}
 		flags := ""
-		if t.First {
+		if touched.First(&t) {
 			flags = "first(beta=0)"
 		}
 		fmt.Printf("%4d %5d  r%-3d %-6s %dx%d@(%d,%d)  r%-3d %-6s %dx%d@(%d,%d)  (%d,%d)+%dx%d  %s\n",

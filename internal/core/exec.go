@@ -191,41 +191,127 @@ func MultiplyEx(c rt.Ctx, g *grid.Grid, d Dims, opts Options, alpha, beta float6
 // rankHealth is the capability a fault-tolerant runtime layer (the
 // internal/faults resilient wrapper) exposes to the executor: which owners
 // are currently stalling, and whether this rank has degraded to blocking
-// transfers. When the ctx provides it, execution switches to the dynamic
-// resilient schedule (see resilient.go); otherwise the static
-// double-buffered pipeline below runs unchanged.
+// transfers. Without it, or while it reports every owner healthy and the
+// rank not degraded, the executor runs the planned order unchanged.
 type rankHealth interface {
 	IsSlow(rank int) bool
 	Degraded() bool
 }
 
-func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, nLoc int, lg *Ledger) error {
-	if h, ok := c.(rankHealth); ok {
-		return execTasksResilient(c, h, tasks, opts, alpha, beta, ga, gb, gc, nLoc, lg)
-	}
-	me := c.Rank()
-	transA, transB := opts.Case.TransA(), opts.Case.TransB()
+// pipe is one operand's fetch pipeline over the pending task list: the
+// schedule, the scratch slots its items rotate through, and how far
+// issuing and waiting have got.
+type pipe struct {
+	g      rt.Global
+	region func(*Task) fetchItem
+	direct func(*Task) bool
+	s      schedule
+	bufs   []rt.Buffer
+	issued int // highest item issued
+	waited int // highest item waited on; tasks first wait on items in order
+}
 
-	// Resume: filter the list down to pending tasks, remembering original
-	// indexes for ledger marks, and seed the dynamic beta tracker with the
-	// regions completed tasks already touched (their beta is spent; the
-	// planner's static First marks no longer apply). A fresh ledger keeps
-	// the original list and the First-mark fast path.
-	var orig []int
-	touched := resumeTouched(tasks, lg)
-	if touched != nil {
-		pending := make([]Task, 0, len(tasks)-lg.Completed())
-		orig = make([]int, 0, len(tasks)-lg.Completed())
-		for i := range tasks {
-			if !lg.Done(i) {
-				pending = append(pending, tasks[i])
-				orig = append(orig, i)
-			}
+// plan (re)builds the schedule over tasks, with nothing issued yet.
+func (p *pipe) plan(tasks []Task, slots int) {
+	p.s = buildSchedule(tasks, slots, p.region, p.direct)
+	p.issued, p.waited = -1, -1
+}
+
+// target is the highest item that must be in flight before task ti runs.
+// With look-ahead, both slots are filled before the first compute, so the
+// first remote transfers hide behind the shared-memory tasks at the head of
+// the list (paper §3.1 step 2), and the next task's item is prefetched.
+// Issuing item f evicts item f-2's buffer, so the prefetch is capped one
+// past the item the current task uses: a task re-reading the older slot
+// must finish before that slot is refilled.
+func (p *pipe) target(ti int, ahead bool) int {
+	up := p.s.need[ti]
+	if !ahead {
+		return up
+	}
+	up = max(up, min(1, len(p.s.items)-1))
+	if ti+1 < len(p.s.need) {
+		next := p.s.need[ti+1]
+		if fi := p.s.ofTask[ti]; fi >= 0 {
+			next = min(next, fi+1)
 		}
-		tasks = pending
-		if len(tasks) == 0 {
-			return nil
+		up = max(up, next)
+	}
+	return up
+}
+
+// ready reports whether every item task ti needs is already in flight.
+func (p *pipe) ready(ti int) bool { return p.s.need[ti] <= p.issued }
+
+// stalls reports whether issuing up to item upTo would send a get to an
+// owner h reports as slow.
+func (p *pipe) stalls(h rankHealth, upTo int) bool {
+	for f := p.issued + 1; f <= upTo; f++ {
+		if h.IsSlow(p.s.items[f].owner) {
+			return true
 		}
+	}
+	return false
+}
+
+// issue puts items up to upTo in flight. When the engine records spans,
+// each burst is bracketed with a KindIssue span — the executor-level view
+// of "how long does putting transfers in flight cost" that the overlap
+// analysis separates from the Wait time those transfers hide.
+func (p *pipe) issue(c rt.Ctx, rec *obs.Recorder, upTo int) {
+	if p.issued >= upTo {
+		return
+	}
+	t0 := issueStart(rec)
+	for p.issued < upTo {
+		p.issued++
+		it := &p.s.items[p.issued]
+		it.h = c.NbGetSub(p.g, it.owner, it.off, it.ld, it.rows, it.cols, p.bufs[p.issued%len(p.bufs)], 0)
+	}
+	issueSpan(rec, c.Rank(), t0)
+}
+
+// drain waits on every issued item no task has waited on yet, so that a
+// rebuilt schedule may refill the slots.
+func (p *pipe) drain(c rt.Ctx) {
+	for f := p.waited + 1; f <= p.issued; f++ {
+		c.Wait(p.s.items[f].h)
+	}
+}
+
+// operand returns task ti's view of this matrix: the fetched copy, packed
+// tight, once its get completes, or the sub-block in place inside the
+// owner's block.
+func (p *pipe) operand(c rt.Ctx, ti int, t *Task) rt.Mat {
+	r := p.region(t)
+	if fi := p.s.ofTask[ti]; fi >= 0 {
+		c.Wait(p.s.items[fi].h)
+		p.waited = max(p.waited, fi)
+		return rt.Mat{Buf: p.bufs[fi%len(p.bufs)], LD: r.cols, Rows: r.rows, Cols: r.cols}
+	}
+	m := rt.Mat{Off: r.off, LD: r.ld, Rows: r.rows, Cols: r.cols}
+	if r.owner == c.Rank() {
+		m.Buf = c.Local(p.g)
+	} else {
+		m.Buf, m.Remote = c.Direct(p.g, r.owner), true
+	}
+	return m
+}
+
+// execTasks runs one rank's task list through the double-buffered
+// nonblocking pipeline. While every owner is healthy it follows the planned
+// order, so consecutive tasks share fetched blocks and each C region
+// accumulates in plan order. When the ctx reports that the next fetch's
+// owner is a straggler, the executor finishes the tasks already in flight,
+// moves the pending tasks with healthy owners ahead of the slow ones (the
+// local form of task stealing: every task is independent, cf. the
+// task-based SUMMA of Calvin, Lewis & Valeev) and replans the fetches over
+// what remains. Once the rank is degraded, look-ahead stops. execTasks owns
+// tasks and filters and permutes it in place.
+func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb, gc rt.Global, nLoc int, lg *Ledger) error {
+	pending, orig, touched := resume(tasks, lg)
+	if len(pending) == 0 {
+		return nil
 	}
 	var ab *abftState
 	if opts.ABFT {
@@ -236,149 +322,126 @@ func execTasks(c rt.Ctx, tasks []Task, opts Options, alpha, beta float64, ga, gb
 	if opts.SingleBuffer {
 		nbuf = 1
 	}
-	sa := buildSchedule(tasks, nbuf, aRegion, func(t *Task) bool { return t.ADirect })
-	sb := buildSchedule(tasks, nbuf, bRegion, func(t *Task) bool { return t.BDirect })
-	var bufsA, bufsB []rt.Buffer
-	if n := sa.maxElems(); n > 0 {
-		for i := 0; i < nbuf; i++ {
-			bufsA = append(bufsA, c.LocalBuf(n))
+	pa := &pipe{g: ga, region: aRegion, direct: func(t *Task) bool { return t.ADirect }}
+	pb := &pipe{g: gb, region: bRegion, direct: func(t *Task) bool { return t.BDirect }}
+	for _, p := range []*pipe{pa, pb} {
+		p.plan(pending, nbuf)
+		if n := p.s.maxElems(); n > 0 {
+			for i := 0; i < nbuf; i++ {
+				p.bufs = append(p.bufs, c.LocalBuf(n))
+			}
 		}
 	}
-	if n := sb.maxElems(); n > 0 {
-		for i := 0; i < nbuf; i++ {
-			bufsB = append(bufsB, c.LocalBuf(n))
-		}
-	}
+	// A replanned remainder fetches a subset of these regions, so the
+	// slots stay large enough.
+	defer releaseScratch(c, pa.bufs, pb.bufs)
 
-	// When the engine records spans, each burst of fetch issues is bracketed
-	// with a KindIssue span — the executor-level view of "how long does
-	// putting transfers in flight cost" that the overlap analysis separates
-	// from the Wait time those transfers hide.
+	health, _ := c.(rankHealth)
 	rec := rt.FindRecorder(c)
-	issuedA, issuedB := -1, -1
-	issueA := func(upTo int) {
-		if issuedA >= upTo {
-			return
-		}
-		t0 := issueStart(rec)
-		for issuedA < upTo {
-			issuedA++
-			it := &sa.items[issuedA]
-			it.h = c.NbGetSub(ga, it.owner, it.off, it.ld, it.rows, it.cols, bufsA[issuedA%nbuf], 0)
-		}
-		issueSpan(rec, me, t0)
-	}
-	issueB := func(upTo int) {
-		if issuedB >= upTo {
-			return
-		}
-		t0 := issueStart(rec)
-		for issuedB < upTo {
-			issuedB++
-			it := &sb.items[issuedB]
-			it.h = c.NbGetSub(gb, it.owner, it.off, it.ld, it.rows, it.cols, bufsB[issuedB%nbuf], 0)
-		}
-		issueSpan(rec, me, t0)
-	}
-	// Warm the pipeline: with double buffering both buffers may be filled
-	// before any compute, so the first remote transfers hide behind the
-	// shared-memory tasks at the head of the list (paper §3.1 step 2).
-	if !opts.SingleBuffer {
-		issueA(min(1, len(sa.items)-1))
-		issueB(min(1, len(sb.items)-1))
-	}
-
+	transA, transB := opts.Case.TransA(), opts.Case.TransB()
 	cBuf := c.Local(gc)
-	for ti := range tasks {
+	for ti := 0; ti < len(pending); ti++ {
 		if cancelled(opts.Cancel) {
 			// Outstanding nonblocking gets are simply never waited on — the
 			// real engine completes them eagerly, and their targets are the
-			// scratch buffers being surrendered right here anyway.
-			releaseScratch(c, bufsA, bufsB)
+			// scratch buffers the deferred release surrenders anyway.
 			return ErrCancelled
 		}
-		t := &tasks[ti]
-		// Top up the pipeline: everything this task needs, plus (double
-		// buffered) everything the next task needs. Issuing item f evicts
-		// item f-2's buffer, so the look-ahead is capped one past the item
-		// the CURRENT task uses — a task re-reading the older slot must
-		// finish before that slot is refilled.
-		targetA, targetB := sa.need[ti], sb.need[ti]
-		if !opts.SingleBuffer && ti+1 < len(tasks) {
-			targetA, targetB = sa.need[ti+1], sb.need[ti+1]
-			if fi := sa.ofTask[ti]; fi >= 0 && targetA > fi+1 {
-				targetA = fi + 1
-			}
-			if fi := sb.ofTask[ti]; fi >= 0 && targetB > fi+1 {
-				targetB = fi + 1
-			}
-			if targetA < sa.need[ti] {
-				targetA = sa.need[ti]
-			}
-			if targetB < sb.need[ti] {
-				targetB = sb.need[ti]
+		ahead := nbuf > 1 && (health == nil || !health.Degraded())
+		ta, tb := pa.target(ti, ahead), pb.target(ti, ahead)
+		if health != nil && (pa.stalls(health, ta) || pb.stalls(health, tb)) {
+			if pa.ready(ti) && pb.ready(ti) {
+				// Finish the tasks already in flight first.
+				if stealHealthy(health, pending[ti:], nil) > 0 {
+					ta, tb = -1, -1
+				}
+			} else if n := stealHealthy(health, pending[ti:], orig[ti:]); n > 0 {
+				c.Stats().StragglerSteals += int64(n)
+				pa.drain(c)
+				pb.drain(c)
+				pending, orig = pending[ti:], orig[ti:]
+				pa.plan(pending, nbuf)
+				pb.plan(pending, nbuf)
+				ti = -1
+				continue
 			}
 		}
-		issueA(targetA)
-		issueB(targetB)
+		pa.issue(c, rec, ta)
+		pb.issue(c, rec, tb)
 
-		var aMat, bMat rt.Mat
-		if fi := sa.ofTask[ti]; fi >= 0 {
-			// Fetched: the buffer holds the sub-block packed tight.
-			c.Wait(sa.items[fi].h)
-			aMat = rt.Mat{Buf: bufsA[fi%nbuf], LD: t.ASubC}
-		} else {
-			// Direct: view the sub-block in place inside the owner's block.
-			if t.AOwner == me {
-				aMat = rt.Mat{Buf: c.Local(ga)}
-			} else {
-				aMat = rt.Mat{Buf: c.Direct(ga, t.AOwner), Remote: true}
-			}
-			aMat.Off = t.ASubI*t.ABlockCols + t.ASubJ
-			aMat.LD = t.ABlockCols
-		}
-		aMat.Rows, aMat.Cols = t.ASubR, t.ASubC
+		t := &pending[ti]
+		aMat := pa.operand(c, ti, t)
 		aMat.Trans = transA
-
-		if fi := sb.ofTask[ti]; fi >= 0 {
-			c.Wait(sb.items[fi].h)
-			bMat = rt.Mat{Buf: bufsB[fi%nbuf], LD: t.BSubC}
-		} else {
-			if t.BOwner == me {
-				bMat = rt.Mat{Buf: c.Local(gb)}
-			} else {
-				bMat = rt.Mat{Buf: c.Direct(gb, t.BOwner), Remote: true}
-			}
-			bMat.Off = t.BSubI*t.BBlockCols + t.BSubJ
-			bMat.LD = t.BBlockCols
-		}
-		bMat.Rows, bMat.Cols = t.BSubR, t.BSubC
+		bMat := pb.operand(c, ti, t)
 		bMat.Trans = transB
-
 		cMat := rt.Mat{Buf: cBuf, Off: t.CI*nLoc + t.CJ, LD: nLoc, Rows: t.CR, Cols: t.CC}
 		taskBeta := 1.0
-		if touched == nil {
-			if t.First {
-				taskBeta = beta
-			}
-		} else if reg := (cRegion{t.CI, t.CJ, t.CR, t.CC}); !touched[reg] {
-			touched[reg] = true
+		if touched.First(t) {
 			taskBeta = beta
 		}
 		if err := gemmVerified(c, ab, alpha, aMat, bMat, taskBeta, cMat); err != nil {
-			releaseScratch(c, bufsA, bufsB)
 			return err
 		}
 		if lg != nil {
-			if orig != nil {
-				lg.Mark(orig[ti])
-			} else {
-				lg.Mark(ti)
-			}
+			lg.Mark(orig[ti])
 		}
 	}
-	releaseScratch(c, bufsA, bufsB)
 	return nil
+}
+
+// resume splits tasks, in place, into the ones still to run, with their
+// original indexes for the ledger marks, and the C regions whose beta is
+// spent: those any task completed by an earlier attempt (marked in the
+// ledger) wrote.
+func resume(tasks []Task, lg *Ledger) (pending []Task, orig []int, touched Touched) {
+	touched = make(Touched)
+	pending, orig = tasks[:0], make([]int, 0, len(tasks))
+	for i := range tasks {
+		t := tasks[i]
+		if lg != nil && lg.Done(i) {
+			touched.First(&t)
+			continue
+		}
+		pending = append(pending, t)
+		orig = append(orig, i)
+	}
+	return pending, orig, touched
+}
+
+// slowTask reports whether t fetches an operand from an owner h reports as
+// slow.
+func slowTask(h rankHealth, t *Task) bool {
+	return (!t.ADirect && h.IsSlow(t.AOwner)) || (!t.BDirect && h.IsSlow(t.BOwner))
+}
+
+// stealHealthy returns how many tasks with healthy owners are queued
+// behind a slow one. Given orig, it also moves them ahead of the slow ones
+// in the same pass, keeping the order within each group and permuting orig
+// alongside; with orig nil it only counts.
+func stealHealthy(h rankHealth, tasks []Task, orig []int) int {
+	var slowT []Task
+	var slowO []int
+	moved, k := 0, 0
+	for i := range tasks {
+		if slowTask(h, &tasks[i]) {
+			if orig != nil {
+				slowT, slowO = append(slowT, tasks[i]), append(slowO, orig[i])
+			}
+			continue
+		}
+		if k < i {
+			moved++
+			if orig != nil {
+				tasks[k], orig[k] = tasks[i], orig[i]
+			}
+		}
+		k++
+	}
+	if orig != nil {
+		copy(tasks[k:], slowT)
+		copy(orig[k:], slowO)
+	}
+	return moved
 }
 
 // issueStart and issueSpan bracket one fetch-issue burst with a KindIssue

@@ -42,9 +42,10 @@ func regionOf(matrix int, it fetchItem) FetchRegion {
 	return FetchRegion{Matrix: matrix, Owner: it.owner, Off: it.off, LD: it.ld, Rows: it.rows, Cols: it.cols}
 }
 
-// RankFetches returns the exact sequence of fetch regions rank me's static
-// executor will issue for its task list, in issue order, after the
-// consecutive-task and double-buffer-slot reuse the executor applies. The
+// RankFetches returns the exact sequence of fetch regions rank me's
+// executor issues for its task list while every owner is healthy, A
+// regions then B regions, each in issue order, after the consecutive-task
+// and double-buffer-slot reuse the executor applies. The
 // sum of Elems over the result is the rank's flat communication volume in
 // elements (remote or intra-domain copy, depending on each owner).
 func RankFetches(topo rt.Topology, me int, g *grid.Grid, d Dims, opts Options) []FetchRegion {

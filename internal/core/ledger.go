@@ -179,25 +179,22 @@ func (j *JobLedger) Total() int {
 	return n
 }
 
-// cRegion identifies one C view a task accumulates into — the key for
-// beta-application tracking shared by both executors.
+// cRegion identifies one C view a task accumulates into.
 type cRegion struct{ i, j, r, c int }
 
-// resumeState derives the executor-side resume view from a ledger: which
-// C regions completed tasks already touched (their beta is spent) and, for
-// the static executor, the pending task list with original-index mapping.
-// A fresh ledger (nothing done) returns nil touched — the executors then
-// keep their zero-overhead first-attempt paths.
-func resumeTouched(tasks []Task, lg *Ledger) map[cRegion]bool {
-	if lg == nil || lg.Completed() == 0 {
-		return nil
+// Touched is the beta rule: the first gemm into each C region applies the
+// caller's beta and every later one accumulates. The executor seeds it
+// with the tasks an earlier attempt completed, so fresh, resumed and
+// reordered runs all spend each region's beta exactly once.
+type Touched map[cRegion]bool
+
+// First reports whether t is the first task into its C region, and marks
+// the region touched.
+func (s Touched) First(t *Task) bool {
+	reg := cRegion{t.CI, t.CJ, t.CR, t.CC}
+	if s[reg] {
+		return false
 	}
-	touched := make(map[cRegion]bool, lg.Completed())
-	for i := range tasks {
-		if lg.Done(i) {
-			t := &tasks[i]
-			touched[cRegion{t.CI, t.CJ, t.CR, t.CC}] = true
-		}
-	}
-	return touched
+	s[reg] = true
+	return true
 }

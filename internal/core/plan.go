@@ -102,7 +102,7 @@ type Options struct {
 	// empirically" knob. Zero means tasks span whole owner blocks.
 	MaxTaskK int
 	// Cancel, when non-nil, is a cancellation signal — typically a
-	// context.Done() channel — polled by the executors between tasks. Once
+	// context.Done() channel — polled by the executor between tasks. Once
 	// it fires, remaining tasks are skipped, communication scratch is
 	// released back to the engine pools, the exit barrier still runs (every
 	// rank shares the signal, so the collective call sequence stays aligned
@@ -160,8 +160,7 @@ type Task struct {
 
 	CI, CJ, CR, CC int // target view inside my local C block
 
-	KIdx  int  // k-piece index, for ordering diagnostics
-	First bool // first accumulation into this C region (beta = 0)
+	KIdx int // k-piece index, for ordering diagnostics
 }
 
 // shared reports whether the task needs no fetch at all.
@@ -309,7 +308,6 @@ func Plan(topo rt.Topology, me int, g *grid.Grid, d Dims, opts Options) []Task {
 		}
 	}
 	orderTasks(tasks, topo, me, g, len(kPieces), opts)
-	markFirst(tasks)
 	return tasks
 }
 
@@ -377,19 +375,4 @@ func stableSortTasks(ts []Task, less func(a, b *Task) bool) {
 		copy(ts[lo:hi], tmp[lo:hi])
 	}
 	merge(0, len(ts))
-}
-
-// markFirst sets Task.First on the first task (in final order) touching
-// each distinct C region, which the executor maps to beta=0.
-func markFirst(tasks []Task) {
-	type region struct{ i, j, r, c int }
-	seen := make(map[region]bool, len(tasks))
-	for idx := range tasks {
-		t := &tasks[idx]
-		reg := region{t.CI, t.CJ, t.CR, t.CC}
-		if !seen[reg] {
-			seen[reg] = true
-			t.First = true
-		}
-	}
 }

@@ -166,37 +166,6 @@ func TestPlanFlavorControlsDirectness(t *testing.T) {
 	}
 }
 
-func TestPlanFirstFlagsOnePerRegion(t *testing.T) {
-	g, _ := grid.New(3, 2)
-	topo := rt.Topology{NProcs: 6, ProcsPerNode: 2}
-	d := Dims{M: 18, N: 14, K: 22}
-	for _, cs := range Cases {
-		tasks := Plan(topo, 4, g, d, Options{Case: cs})
-		type region struct{ i, j, r, c int }
-		firsts := map[region]int{}
-		for _, tk := range tasks {
-			if tk.First {
-				firsts[region{tk.CI, tk.CJ, tk.CR, tk.CC}]++
-			}
-		}
-		for reg, n := range firsts {
-			if n != 1 {
-				t.Fatalf("%v region %+v has %d First tasks", cs, reg, n)
-			}
-		}
-		// Every region must have exactly one First, and it must precede all
-		// other tasks on that region.
-		seen := map[region]bool{}
-		for _, tk := range tasks {
-			reg := region{tk.CI, tk.CJ, tk.CR, tk.CC}
-			if !seen[reg] && !tk.First {
-				t.Fatalf("%v: non-First task reaches region %+v first", cs, reg)
-			}
-			seen[reg] = true
-		}
-	}
-}
-
 // SRUMMA must run to completion on the sim engine for all platforms and be
 // deterministic; end-to-end shape checks live in the bench package.
 func TestMultiplyOnSimEngine(t *testing.T) {

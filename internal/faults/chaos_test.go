@@ -301,7 +301,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 }
 
 // TestChaosStragglerStealing: with stragglers planned and a tight latency
-// threshold, the dynamic executor must route around the slow ranks.
+// threshold, the executor must route around the slow ranks.
 func TestChaosStragglerStealing(t *testing.T) {
 	want := chaosReference(t)
 	cfg := faults.Config{Seed: 6, Stragglers: 2, StragglerDelay: 4 * time.Millisecond}

@@ -137,6 +137,7 @@ type retryGet struct {
 	want                      uint64 // source checksum, when available
 	attempt                   int
 	op                        int64 // issue ordinal, for error context
+	settled                   bool  // a Wait has completed and verified it
 }
 
 func (r *retryGet) Done() bool { return r.h.Done() }
@@ -154,6 +155,7 @@ type retryPut struct {
 	want                      uint64
 	attempt                   int
 	op                        int64
+	settled                   bool
 }
 
 func (r *retryPut) Done() bool { return r.h.Done() }
@@ -236,17 +238,28 @@ func (r *retryPut) verify() bool {
 }
 
 // Wait drives the recovery loop for the wrapper's own handles and passes
-// everything else through.
+// everything else through. A handle is settled by its first Wait: the
+// executor waits again on a block that consecutive tasks reuse, and a
+// repeat must neither checksum the payload again nor fold a zero wait into
+// the owner's latency EWMA, which would clear a straggler's IsSlow early.
 func (c *resCtx) Wait(h rt.Handle) {
 	switch r := h.(type) {
 	case *retryGet:
+		if r.settled {
+			return
+		}
 		c.recover(r.rank, r.op, "get", &r.attempt, func(limit time.Duration) bool {
 			return pollUntil(r.h, limit)
 		}, r.verify, r.issue)
+		r.settled = true
 	case *retryPut:
+		if r.settled {
+			return
+		}
 		c.recover(r.rank, r.op, "put", &r.attempt, func(limit time.Duration) bool {
 			return pollUntil(r.h, limit)
 		}, r.verify, r.issue)
+		r.settled = true
 	default:
 		c.Ctx.Wait(h)
 	}

@@ -147,9 +147,9 @@ func MultiplyEx(c rt.Ctx, t Topo, d core.Dims, opts Options, alpha, beta float64
 // returns is already complete; everything else — direct operands, scratch,
 // Gemm, barriers, chaos injection in a wrapped engine — flows to the
 // underlying ctx unchanged. It deliberately does NOT forward the
-// resilient executor's rankHealth capability: under hier the static
-// executor runs, and failures are handled at the job level (retry +
-// ledger resume), not by per-fetch rescheduling.
+// executor's rankHealth capability: under hier the executor always follows
+// the planned order the band was staged for, and failures are handled at
+// the job level (retry + ledger resume), not by per-fetch rescheduling.
 type stagedCtx struct {
 	rt.Ctx
 	ga, gb rt.Global

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -204,7 +205,8 @@ func TestJSONOperandKeyFolding(t *testing.T) {
 }
 
 // TestJSONResponseByteIdentity pins writeOK's JSON body to exactly what
-// json.NewEncoder(w).Encode(resp) writes.
+// json.NewEncoder(w).Encode(resp) writes, and a 422 error where the encoder
+// refuses a non-finite value.
 func TestJSONResponseByteIdentity(t *testing.T) {
 	s := newTestServer(t, Config{NProcs: 1})
 	edge := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-7, 1e-6, 9.99e-7, 1e20, 1e21, -1e21,
@@ -224,14 +226,73 @@ func TestJSONResponseByteIdentity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want bytes.Buffer
-			json.NewEncoder(&want).Encode(&tc.resp) // writes nothing for non-finite values
+			encErr := json.NewEncoder(&want).Encode(&tc.resp)
 			w := httptest.NewRecorder()
 			env := &reqEnv{wr: &wireRequest{wire: wireJSON}, respWire: wireJSON}
 			s.writeOK(w, env, &tc.resp)
+			if encErr != nil {
+				// encoding/json refuses the value: a 422 with a JSON error
+				// body, not a 200 with an empty one.
+				var eresp ErrorResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &eresp); err != nil || w.Code != http.StatusUnprocessableEntity || eresp.Error == "" {
+					t.Fatalf("status %d, body %q (%v), want 422 with a JSON error", w.Code, w.Body.String(), err)
+				}
+				return
+			}
 			if got := w.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
 				t.Fatalf("body differs from json.Encoder:\n got %s\nwant %s", got, want.Bytes())
 			}
 		})
+	}
+}
+
+// TestNonFiniteProduct: a finite request whose product overflows to +Inf
+// gets a 422 naming the non-finite product on the JSON wire, computed and
+// from the cache alike, while the binary wire returns the Inf bits.
+func TestNonFiniteProduct(t *testing.T) {
+	s := newTestServer(t, Config{NProcs: 4, CacheEntries: 16})
+	huge := []float64{1e200, 1e200, 1e200, 1e200}
+	jsonReq := MultiplyRequest{ARows: 2, ACols: 2, A: huge, BRows: 2, BCols: 2, B: huge}
+	binReq := jsonReq
+	binReq.B = []float64{2e200, 2e200, 2e200, 2e200}
+	for i, hit := range []bool{false, true} {
+		jsonReq.ID = "json-" + strconv.Itoa(i)
+		code, w := post(t, s, jsonReq, nil)
+		var eresp ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &eresp); err != nil || code != http.StatusUnprocessableEntity {
+			t.Fatalf("JSON cache hit %v: status %d, body %q (%v), want 422 with a JSON error", hit, code, w.Body.String(), err)
+		}
+		if !strings.Contains(eresp.Error, "non-finite product") || eresp.ID != jsonReq.ID {
+			t.Fatalf("JSON cache hit %v: error %+v does not name the non-finite product", hit, eresp)
+		}
+		if got := s.cache.stats().Hits; got != int64(i) {
+			t.Fatalf("JSON request %d: %d cache hits, want %d", i, got, i)
+		}
+
+		w = binPost(t, s, binReq, false, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("binary cache hit %v: status %d: %s", hit, w.Code, w.Body.String())
+		}
+		if got := w.Header().Get("X-Srumma-Cached") == "1"; got != hit {
+			t.Fatalf("binary request %d: cached %v, want %v", i, got, hit)
+		}
+		_, _, c := decodeBinRecorder(t, w)
+		for k, v := range c {
+			if !math.IsInf(v, 1) {
+				t.Fatalf("binary cache hit %v: C[%d] = %v, want +Inf", hit, k, v)
+			}
+		}
+	}
+	// /metrics agrees with the status codes: the two 422s are errors, the
+	// two binary answers completions.
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var m MetricsSnapshot
+	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Completed != 2 || m.Errors != 2 {
+		t.Fatalf("/metrics completed_total=%d error_total=%d, want 2 and 2", m.Completed, m.Errors)
 	}
 }
 

@@ -919,7 +919,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // writeOK writes a success response on the negotiated wire and settles the
 // request's traffic metrics. On the binary wire the scalar response fields
-// travel as X-Srumma-* headers and the body is the bare result matrix.
+// travel as X-Srumma-* headers and the body is the bare result matrix. A
+// JSON response is encoded before the header goes out, so a product with a
+// non-finite element gets a 422 error instead of a 200 with no body.
 func (s *Server) writeOK(w http.ResponseWriter, env *reqEnv, resp *MultiplyResponse) {
 	cw := &countingWriter{w: w}
 	if env.respWire == wireBinary {
@@ -960,14 +962,35 @@ func (s *Server) writeOK(w http.ResponseWriter, env *reqEnv, resp *MultiplyRespo
 	} else {
 		bp := getJSONBuf()
 		body, err := appendJSONResponse(*bp, resp)
+		if err != nil {
+			// JSON has no text for ±Inf or NaN, so a product that
+			// overflowed cannot travel on this wire; the binary wire
+			// carries its IEEE bits.
+			putJSONBuf(bp, body)
+			s.writeErr(w, env, http.StatusUnprocessableEntity, ErrorResponse{ID: resp.ID,
+				Error: "non-finite product cannot be encoded as JSON (" + err.Error() + "); request the binary wire"})
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		if err == nil { // like json.Encoder, write nothing for a non-finite value
-			cw.Write(body)
-		}
+		cw.Write(body)
 		putJSONBuf(bp, body)
 	}
 	s.met.noteWire(env.wr.wire, env.wr.bytesIn, cw.n)
+}
+
+// okOutcome is the metrics outcome of a computed or cached product c: on
+// the JSON wire a product holding ±Inf or NaN gets writeOK's 422, so the
+// request counts as an error, not a completion.
+func okOutcome(env *reqEnv, c []float64) string {
+	if env.respWire == wireJSON {
+		for _, v := range c {
+			if v-v != 0 { // ±Inf - ±Inf and NaN - NaN are NaN
+				return "error"
+			}
+		}
+	}
+	return "ok"
 }
 
 // writeErr writes an error response (always JSON, regardless of the
@@ -1001,7 +1024,7 @@ func (s *Server) serveCacheHit(w http.ResponseWriter, env *reqEnv, t0 time.Time,
 	if env.key.cIn != (digest{}) {
 		resp.DigestCIn = hexDigest(env.wr.digC)
 	}
-	s.met.finish(routeCache, env.cls.String(), "ok", time.Since(t0), 0, false)
+	s.met.finish(routeCache, env.cls.String(), okOutcome(env, out.Data), time.Since(t0), 0, false)
 	s.writeOK(w, env, resp)
 }
 
@@ -1181,7 +1204,7 @@ func (s *Server) handleSchedMultiply(w http.ResponseWriter, r *http.Request, env
 	case err == nil:
 		s.recordBreaker(route, http.StatusOK)
 		total := time.Since(admitted)
-		s.met.finish(route, cls.String(), "ok", total, flops, false)
+		s.met.finish(route, cls.String(), okOutcome(env, job.out.Data), total, flops, false)
 		elapsed := job.finished.Sub(job.started)
 		resp := MultiplyResponse{
 			ID:            req.ID,
@@ -1280,7 +1303,7 @@ func (s *Server) execute(ctx context.Context, env *reqEnv, admitted time.Time) (
 	switch {
 	case err == nil:
 		total := time.Since(admitted)
-		s.met.finish(route, class, "ok", total, flops, true)
+		s.met.finish(route, class, okOutcome(env, out.Data), total, flops, true)
 		resp := &MultiplyResponse{
 			ID:            req.ID,
 			Rows:          d.M,
